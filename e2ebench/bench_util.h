@@ -1,6 +1,5 @@
-// Small helpers shared by the end-to-end benchmark: the clock, a seeded
-// generator that is identical on every platform, order statistics, and
-// the per-run result the benchmark prints as its last line.
+// Small helpers shared by the end-to-end benchmark: the clock, order
+// statistics, and the per-run result the benchmark prints as its last line.
 #pragma once
 
 #include <algorithm>
@@ -23,25 +22,6 @@ inline uint64_t NowNs() {
 inline double SecondsSince(uint64_t start_ns) {
   return static_cast<double>(NowNs() - start_ns) * 1e-9;
 }
-
-/// splitmix64: the workload generator. Unlike the standard library's
-/// distributions its output is fixed by the seed alone.
-class SplitMix {
- public:
-  explicit SplitMix(uint64_t seed) : s_(seed) {}
-  uint64_t Next() {
-    uint64_t z = (s_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-  /// Uniform in [0, 1).
-  double Uniform() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
-  size_t Below(size_t n) { return static_cast<size_t>(Next() % n); }
-
- private:
-  uint64_t s_;
-};
 
 /// Nearest-rank percentile (q in [0, 1]) of an unsorted sample.
 inline double Percentile(std::vector<double> v, double q) {

@@ -8,8 +8,8 @@ BENCHMARK.json.
 
 The spread is (q3 - q1) / median with the quartiles of
 statistics.quantiles(values, n=4). A metric is steady when its spread is
-below its bound (setup_s is exempt); the bounds were set so that every
-spread stays below a third of its bound. --save writes the medians and
+below its bound ("TOO WIDE" fails the set) and well steady when below a
+third of it ("ok"; "wide" in between). --save writes the medians and
 failure shares of this set; --baseline compares this set with a saved one:
 no median may be worse than the saved one by more than its bound, and the
 share of failed operations must be the same. The exit code is 1 when any
@@ -83,7 +83,7 @@ def main() -> int:
             spread = (q3 - q1) / med if med else float("inf")
             saved[workload]["medians"][name] = med
             verdict = "ok" if spread <= m["bound"] / 3 else "wide"
-            if spread > m["bound"] and name != "setup_s":
+            if spread > m["bound"]:
                 verdict = "TOO WIDE"
                 ok = False
             base = baseline.get(workload, {}).get("medians", {}).get(name)

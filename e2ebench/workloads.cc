@@ -8,10 +8,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
-#include <map>
 #include <memory>
-#include <set>
-#include <thread>
 
 #include "automata/trie.h"
 #include "inference/query_eval.h"
@@ -37,19 +34,12 @@ namespace {
 constexpr size_t kLinesPerPage = 256;
 constexpr size_t kNumAns = 10;
 constexpr int kSetups = 3;            // set-ups per run; setup_s is their median
-constexpr size_t kBurstDocs = 192;    // appends after the read phase
+constexpr size_t kBurstDocs = 192;    // appends after the read phase's checks
 constexpr size_t kProbeDocs = 24;     // documents the layer probes sample
 constexpr size_t kChunkCheckDocs = 16;
 // The traced run alternates untraced and traced blocks of this length, so
-// both halves see the same database state (ingest-mixed grows over time).
+// both halves see the same machine state.
 constexpr uint64_t kTraceBlockNs = 250'000'000;
-// The ingest writer pauses this long between appends. Append holds the
-// ingest mutex across the WAL fsync and the delta materialization, and a
-// writer that re-locks at once starves the reader outright (one query in
-// several seconds), which no run length can measure steadily. The pause
-// lets a waiting reader in after the current append, so a query still
-// waits for the append in progress.
-constexpr std::chrono::microseconds kWriterPause{200};
 
 LoadOptions BenchLoad() {
   LoadOptions o;
@@ -230,6 +220,9 @@ struct Run {
   uint64_t phase_start_ns = 0;
   uint64_t phase_end_ns = 0;
   double phase_seconds = 0.0;  ///< measured: until the last client stopped
+  /// Peak resident set when the timed phase ends, before the checks build
+  /// the oracle: the engine's memory and the inputs, not the checker's.
+  double peak_rss_mb = 0.0;
   cache::CacheStats cache_before, cache_after;
   std::atomic<uint64_t> attempted{0};
   std::atomic<uint64_t> failed{0};
@@ -274,6 +267,7 @@ struct Run {
   }
   void EndPhase() {
     phase_seconds = SecondsSince(phase_start_ns);
+    peak_rss_mb = PeakRssMb();
     Log("timed phase done");
   }
 };
@@ -462,9 +456,7 @@ void CheckChunking(Run* run, Oracle* oracle) {
 }
 
 /// Appends `docs` one at a time after the read phase, then checkpoints.
-/// Returns the append rate at the median append latency: one slow fsync
-/// in a burst this short would otherwise move the rate by a tenth.
-double AppendBurst(Run* run, Db* db, const std::string& dir,
+void AppendBurst(Run* run, Db* db, const std::string& dir,
                    const std::vector<DocumentInput>& docs) {
   run->Log("append burst");
   Tracer* tr = run->opts.trace ? &run->tracer : nullptr;
@@ -495,7 +487,31 @@ double AppendBurst(Run* run, Db* db, const std::string& dir,
   }
   run->Count(st, "checkpoint");
   run->layers.Add("ingest.checkpoint_s", SecondsSince(t));
-  return append_ms.empty() ? 0.0 : 1000.0 / Median(append_ms);
+}
+
+/// After the append burst and its Checkpoint, checks every query against
+/// an oracle over all `total` documents, the appended ones included.
+/// `execute_all` runs the queries in the order of `query_of`.
+void VerifyAfterIngest(
+    Run* run, Db* db, const OcrDataset& all, size_t total,
+    const std::vector<std::pair<Approach, std::string>>& query_of,
+    const std::function<Result<std::vector<std::vector<Answer>>>()>& execute_all) {
+  run->Log("verification after ingest");
+  Oracle oracle(OracleDocs(all, Iota(total)), BenchLoad(),
+                [&](DocId d) { return db->StaccatoBlob(d); });
+  Result<std::vector<std::vector<Answer>>> got = execute_all();
+  run->Count(got.status(), "verify after ingest");
+  if (!got.ok()) return;
+  if (got->size() != query_of.size()) {
+    run->Fail("after ingest: wrong number of answer lists");
+    return;
+  }
+  for (size_t k = 0; k < query_of.size(); ++k) {
+    const auto& [a, p] = query_of[k];
+    Verify(run, &oracle,
+           StringPrintf("after checkpoint: %s '%s'", ApproachName(a), p.c_str()),
+           (*got)[k], a, p, 0, kNumAns, total);
+  }
 }
 
 /// Single-module timings on a fixed sample of documents: blob Fetch cold
@@ -622,7 +638,6 @@ void BatchProbe(Run* run, Session* session, const std::vector<PreparedQuery*>& q
 struct Outcome {
   std::vector<Sample> samples;
   double tail_q = 0.99;
-  double appends_per_s = 0.0;
   double r_precision = 0.0;
   double bytes_per_text_byte = 0.0;
 };
@@ -650,11 +665,10 @@ void Report(Run* run, const Outcome& o) {
     out->Add("query_p50_ms", Median(lat), "ms");
     out->Add("query_tail_ms", Percentile(lat, o.tail_q), "ms");
     out->Add("queries_per_s", static_cast<double>(queries) / run->phase_seconds, "1/s");
-    out->Add("appends_per_s", o.appends_per_s, "1/s");
     out->Add("answer_r_precision", o.r_precision, "ratio");
     out->Add("bytes_per_text_byte", o.bytes_per_text_byte, "ratio");
     out->Add("setup_s", Median(run->setup_s), "s");
-    out->Add("peak_rss_mb", PeakRssMb(), "MiB");
+    out->Add("peak_rss_mb", run->peak_rss_mb, "MiB");
     return;
   }
   const LayerSamples& L = run->layers;
@@ -752,7 +766,7 @@ Status ScanSharded(Run* run) {
   STACCATO_RETURN_NOT_OK(RepeatSetup(run, run->opts.work_dir, setup, reset));
 
   Outcome o;
-  o.tail_q = 0.95;
+  o.tail_q = 0.90;
   run->cache_before = db.CacheTotals();
   run->Log("timed phase");
   run->BeginPhase();
@@ -811,6 +825,28 @@ Status ScanSharded(Run* run) {
     }
   }
   SelfTestChecker(run, verified, n);
+  // MAP and k-MAP full scans of the same patterns, checked but not timed.
+  std::vector<PreparedQuery> checked;
+  std::vector<std::pair<Approach, std::string>> checked_of;
+  for (Approach a : {Approach::kMap, Approach::kKMap}) {
+    for (const std::string& p : patterns) {
+      QueryOptions q;
+      q.pattern = p;
+      q.num_ans = kNumAns;
+      q.index_mode = IndexMode::kNever;
+      Result<PreparedQuery> pq = session->Prepare(a, q);
+      run->Count(pq.status(), "prepare");
+      if (!pq.ok()) continue;
+      Result<std::vector<Answer>> got = pq->Execute();
+      run->Count(got.status(), "verify query");
+      if (got.ok()) {
+        Verify(run, &oracle, StringPrintf("%s '%s'", ApproachName(a), p.c_str()), *got, a,
+               p, 0, kNumAns, n);
+      }
+      checked.push_back(std::move(*pq));
+      checked_of.push_back({a, p});
+    }
+  }
   o.bytes_per_text_byte = static_cast<double>(TreeBytes(run->opts.work_dir)) /
                           static_cast<double>(TextBytes(all, Iota(n)));
 
@@ -825,7 +861,19 @@ Status ScanSharded(Run* run) {
   }
   std::vector<DocumentInput> burst;
   for (size_t i = n; i < n + kBurstDocs; ++i) burst.push_back(DocInput(all, i));
-  o.appends_per_s = AppendBurst(run, &db, run->opts.work_dir, burst);
+  AppendBurst(run, &db, run->opts.work_dir, burst);
+  for (size_t k = 0; k < checked.size(); ++k) query_of.push_back(checked_of[k]);
+  VerifyAfterIngest(run, &db, all, n + kBurstDocs, query_of,
+                    [&]() -> Result<std::vector<std::vector<Answer>>> {
+                      std::vector<std::vector<Answer>> lists;
+                      for (std::vector<PreparedQuery>* v : {&queries, &checked}) {
+                        for (PreparedQuery& pq : *v) {
+                          STACCATO_ASSIGN_OR_RETURN(std::vector<Answer> a, pq.Execute());
+                          lists.push_back(std::move(a));
+                        }
+                      }
+                      return lists;
+                    });
   Report(run, o);
   return Status::OK();
 }
@@ -976,424 +1024,11 @@ Status BatchScan(Run* run) {
   if (run->opts.trace) LayerProbes(run, &db, all, patterns, n);
   std::vector<DocumentInput> burst;
   for (size_t i = n; i < n + kBurstDocs; ++i) burst.push_back(DocInput(all, i));
-  o.appends_per_s = AppendBurst(run, &db, run->opts.work_dir, burst);
-  Report(run, o);
-  return Status::OK();
-}
-
-// ---- probe-adhoc ------------------------------------------------------------
-
-struct AdhocQuery {
-  size_t term = 0;  ///< rank in the Zipf order
-  Approach approach = Approach::kStaccato;
-  int64_t year = 0;  ///< 0 = no Year predicate
-};
-
-std::string AdhocSql(const std::string& term, const AdhocQuery& q, size_t limit) {
-  std::string where = "DocData LIKE '%" + term + "%'";
-  if (q.year != 0) where = StringPrintf("Year = %lld AND ", static_cast<long long>(q.year)) + where;
-  return StringPrintf("SELECT DocID FROM Docs WHERE %s LIMIT %zu;", where.c_str(), limit);
-}
-
-Status ProbeAdhoc(Run* run) {
-  constexpr size_t kPages = 4;
-  constexpr size_t kClients = 2;   // the main thread is client 0
-  constexpr size_t kSlots = 1;     // fewer slots than clients
-  constexpr size_t kMinDocs = 24;  // request terms carry tens of candidates
-  constexpr double kZipfS = 1.0;
-  constexpr double kYearShare = 0.3;
-  STACCATO_ASSIGN_OR_RETURN(
-      OcrDataset all, MakeDataset(DatasetKind::kLiterature, kPages + 1, run->opts.seed));
-  const size_t n = kPages * kLinesPerPage;
-  const OcrDataset data = Prefix(all, n);
-  const std::vector<std::string> dict = BuildDictionaryFromCorpus(data.corpus.lines, 4);
-
-  Db db;
-  Oracle oracle(OracleDocs(all, Iota(n)), BenchLoad(),
-                [&](DocId d) { return db.StaccatoBlob(d); });
-  // Request terms: dictionary words that match at least kMinDocs truth
-  // lines as written, ranked by that count (the Zipf order).
-  std::vector<std::pair<size_t, std::string>> ranked;
-  for (const std::string& w : dict) {
-    STACCATO_ASSIGN_OR_RETURN(std::vector<DocId> t, oracle.Truth(w, 0));
-    if (t.size() >= kMinDocs) ranked.push_back({t.size(), w});
-  }
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first > b.first : a.second < b.second;
-  });
-  std::vector<std::string> terms;
-  for (const auto& [count, w] : ranked) terms.push_back(w);
-  if (terms.size() < 8) return Status::Internal("too few request terms");
-  std::vector<double> zipf_cdf;
-  double z = 0.0;
-  for (size_t r = 1; r <= terms.size(); ++r) {
-    z += 1.0 / std::pow(static_cast<double>(r), kZipfS);
-    zipf_cdf.push_back(z);
-  }
-  for (double& c : zipf_cdf) c /= z;
-
-  std::unique_ptr<Session> session;
-  std::unique_ptr<QueryService> service;
-  auto reset = [&] {
-    service.reset();
-    session.reset();
-    db = Db();
-  };
-  auto setup = [&](const std::string& dir) -> Status {
-    STACCATO_RETURN_NOT_OK(OpenAndLoad(run, &db, dir, 1, data, dict));
-    session = std::make_unique<Session>(db.one.get(), SessionOptions{0, kNumAns});
-    service = std::make_unique<QueryService>(session.get(), NoShedding(kSlots, kClients));
-    // Warm-up: one Staccato probe per request term.
-    for (size_t t = 0; t < terms.size(); ++t) {
-      STACCATO_ASSIGN_OR_RETURN(
-          PreparedQuery pq,
-          session->PrepareSql(Approach::kStaccato, AdhocSql(terms[t], {t}, kNumAns)));
-      STACCATO_RETURN_NOT_OK(pq.Execute().status());
-    }
-    return Status::OK();
-  };
-  STACCATO_RETURN_NOT_OK(RepeatSetup(run, run->opts.work_dir, setup, reset));
-
-  // key = ((term * 3 + approach) * (kPages + 1) + year slot)
-  auto key_of = [&](const AdhocQuery& q) {
-    const size_t a = q.approach == Approach::kStaccato ? 0 : q.approach == Approach::kMap ? 1 : 2;
-    const size_t y = q.year == 0 ? 0 : static_cast<size_t>(q.year - kBaseYear) + 1;
-    return static_cast<uint32_t>((q.term * 3 + a) * (kPages + 1) + y);
-  };
-  auto query_of = [&](uint32_t key) {
-    AdhocQuery q;
-    const size_t y = key % (kPages + 1);
-    const size_t a = (key / (kPages + 1)) % 3;
-    q.term = key / (kPages + 1) / 3;
-    q.approach = a == 0 ? Approach::kStaccato : a == 1 ? Approach::kMap : Approach::kKMap;
-    q.year = y == 0 ? 0 : kBaseYear + static_cast<int64_t>(y) - 1;
-    return q;
-  };
-
-  std::vector<std::vector<Sample>> per_client(kClients);
-  run->cache_before = db.CacheTotals();
-  run->Log("timed phase");
-  run->BeginPhase();
-  auto client = [&](size_t id) {
-    SplitMix rng(run->opts.seed * 0x100000001b3ULL + id + 1);
-    std::vector<Sample>& out = per_client[id];
-    while (true) {
-      AdhocQuery q;
-      q.term = static_cast<size_t>(
-          std::lower_bound(zipf_cdf.begin(), zipf_cdf.end(), rng.Uniform()) -
-          zipf_cdf.begin());
-      q.term = std::min(q.term, terms.size() - 1);
-      const double u = rng.Uniform();
-      q.approach = u < 0.5 ? Approach::kStaccato : u < 0.75 ? Approach::kMap : Approach::kKMap;
-      if (rng.Uniform() < kYearShare) q.year = kBaseYear + static_cast<int64_t>(rng.Below(kPages));
-      const std::string sql = AdhocSql(terms[q.term], q, kNumAns);
-      const uint64_t t0 = NowNs();
-      if (t0 >= run->phase_end_ns) break;
-      const uint64_t req = run->next_request++;
-      Tracer* tr = run->TracerAt(t0);
-      LayerSamples* L = run->LayersAt(t0);
-      Sample s;
-      s.traced = tr != nullptr;
-      s.key = key_of(q);
-      std::vector<Answer> answers;
-      Status st;
-      {
-        ScopedSpan span(tr, "request", req);
-        Result<PreparedQuery> pq = Status::Internal("not run");
-        {
-          ScopedSpan prep(tr, "session.prepare", req);
-          const uint64_t t = NowNs();
-          pq = session->PrepareSql(q.approach, sql);
-          if (L != nullptr) L->Add("session.prepare_ms", MsSince(t));
-        }
-        st = pq.ok() ? ServeQuery(run, service.get(), &*pq, t0, req, &answers)
-                     : pq.status();
-      }
-      s.ms = MsSince(t0);
-      run->Count(st, "query");
-      s.ok = st.ok();
-      s.answers.push_back(std::move(answers));
-      out.push_back(std::move(s));
-    }
-  };
-  std::vector<std::thread> threads;
-  for (size_t id = 1; id < kClients; ++id) threads.emplace_back(client, id);
-  client(0);
-  for (std::thread& t : threads) t.join();
-  run->EndPhase();
-  run->cache_after = db.CacheTotals();
-
-  Outcome o;
-  o.tail_q = 0.90;
-  for (auto& v : per_client) {
-    o.samples.insert(o.samples.end(), std::make_move_iterator(v.begin()),
-                     std::make_move_iterator(v.end()));
-  }
-
-  // Every request's answers against the reference for its query.
-  CheckChunking(run, &oracle);
-  std::map<uint32_t, std::vector<Answer>> expected;
-  std::vector<Answer> verified;
-  size_t mismatches = 0;
-  for (const Sample& s : o.samples) {
-    if (!s.ok) continue;
-    const AdhocQuery q = query_of(s.key);
-    auto it = expected.find(s.key);
-    if (it == expected.end()) {
-      Result<std::vector<Answer>> want =
-          oracle.Expected(q.approach, terms[q.term], q.year, kNumAns, n);
-      if (!want.ok()) return want.status();
-      it = expected.emplace(s.key, std::move(*want)).first;
-    }
-    const std::string why = CheckAnswers(s.answers[0], it->second, kNumAns, n);
-    if (!why.empty() && mismatches++ == 0) {
-      run->Fail(AdhocSql(terms[q.term], q, kNumAns) + ": " + why);
-    }
-    if (why.empty() && verified.size() < 2) verified = s.answers[0];
-  }
-  SelfTestChecker(run, verified, n);
-  // R-precision over a fixed universe: every request term under every
-  // approach, without the Year predicate.
-  double rp = 0.0;
-  size_t rq = 0;
-  for (size_t t = 0; t < terms.size(); ++t) {
-    for (Approach a : {Approach::kStaccato, Approach::kMap, Approach::kKMap}) {
-      AdhocQuery q{t, a, 0};
-      rp += RPrecisionOf(run, &oracle, AdhocSql(terms[t], q, kNumAns), a, terms[t], 0, n,
-                         [&](size_t r) -> Result<std::vector<Answer>> {
-                           STACCATO_ASSIGN_OR_RETURN(
-                               PreparedQuery pq,
-                               session->PrepareSql(a, AdhocSql(terms[t], q, r)));
-                           return pq.Execute();
-                         });
-      ++rq;
-    }
-  }
-  o.r_precision = rp / static_cast<double>(rq);
-  o.bytes_per_text_byte = static_cast<double>(TreeBytes(run->opts.work_dir)) /
-                          static_cast<double>(TextBytes(all, Iota(n)));
-
-  if (run->opts.trace) {
-    const std::vector<std::string> probe_terms(terms.begin(), terms.begin() + 7);
-    LayerProbes(run, &db, all, probe_terms, n);
-    std::vector<PreparedQuery> owned;
-    for (size_t t = 0; t < probe_terms.size(); ++t) {
-      Result<PreparedQuery> pq =
-          session->PrepareSql(Approach::kStaccato, AdhocSql(terms[t], {t}, kNumAns));
-      run->Count(pq.status(), "prepare");
-      if (pq.ok()) owned.push_back(std::move(*pq));
-    }
-    std::vector<PreparedQuery*> batch;
-    for (PreparedQuery& pq : owned) batch.push_back(&pq);
-    BatchProbe(run, session.get(), batch, [&](size_t k, const std::vector<Answer>& got) {
-      Verify(run, &oracle, "batch probe", got, Approach::kStaccato, terms[k], 0, kNumAns, n);
-    });
-  }
-  std::vector<DocumentInput> burst;
-  for (size_t i = n; i < n + kBurstDocs; ++i) burst.push_back(DocInput(all, i));
-  o.appends_per_s = AppendBurst(run, &db, run->opts.work_dir, burst);
-  Report(run, o);
-  return Status::OK();
-}
-
-// ---- ingest-mixed -----------------------------------------------------------
-
-Status IngestMixed(Run* run) {
-  constexpr size_t kBasePages = 2;
-  constexpr size_t kRestPages = 4;
-  STACCATO_ASSIGN_OR_RETURN(
-      OcrDataset all,
-      MakeDataset(DatasetKind::kDbPapers, kBasePages + kRestPages, run->opts.seed));
-  const size_t base = kBasePages * kLinesPerPage;
-  const OcrDataset data = Prefix(all, base);
-  const std::vector<std::string> dict = BuildDictionaryFromCorpus(all.corpus.lines, 4);
-  const std::vector<std::string> patterns = DatasetQueries(DatasetKind::kDbPapers);
-  std::vector<DocumentInput> rest;
-  for (size_t i = base; i < all.sfas.size(); ++i) rest.push_back(DocInput(all, i));
-
-  // Index probes for the keywords whose anchor is a dictionary term, full
-  // scans for every pattern.
-  std::vector<std::pair<std::string, IndexMode>> plan_of;
-  for (const std::string& p : patterns) {
-    Result<Pattern> parsed = Pattern::Parse(p);
-    const std::string anchor = parsed.ok() ? parsed->AnchorTerm() : "";
-    if (parsed.ok() && parsed->IsLiteral() &&
-        std::binary_search(dict.begin(), dict.end(), anchor)) {
-      plan_of.push_back({p, IndexMode::kForce});
-    }
-  }
-  for (const std::string& p : patterns) plan_of.push_back({p, IndexMode::kNever});
-
-  Db db;
-  std::unique_ptr<Session> session;
-  std::unique_ptr<QueryService> service;
-  std::vector<PreparedQuery> queries;
-  auto reset = [&] {
-    queries.clear();
-    service.reset();
-    session.reset();
-    db = Db();
-  };
-  auto setup = [&](const std::string& dir) -> Status {
-    STACCATO_RETURN_NOT_OK(OpenAndLoad(run, &db, dir, 1, data, dict));
-    session = std::make_unique<Session>(db.one.get());
-    service = std::make_unique<QueryService>(session.get(), NoShedding(1, 1));
-    for (const auto& [p, mode] : plan_of) {
-      QueryOptions q;
-      q.pattern = p;
-      q.num_ans = kNumAns;
-      q.index_mode = mode;
-      STACCATO_ASSIGN_OR_RETURN(PreparedQuery pq,
-                                PrepareTimed(run, session.get(), Approach::kStaccato, q));
-      queries.push_back(std::move(pq));
-    }
-    for (PreparedQuery& pq : queries) STACCATO_RETURN_NOT_OK(pq.Execute().status());
-    return Status::OK();
-  };
-  STACCATO_RETURN_NOT_OK(RepeatSetup(run, run->opts.work_dir, setup, reset));
-
-  struct IngestSample {
-    Sample s;
-    size_t n_lo = 0, n_hi = 0;  ///< documents the query may have seen
-  };
-  std::vector<IngestSample> samples;
-  std::vector<size_t> appended;  // rest index of each acknowledged append
-  std::vector<double> append_ms;
-  std::atomic<size_t> acked{0};
-  const uint64_t wal_before = TreeBytes(run->opts.work_dir, "wal.log");
-  run->cache_before = db.CacheTotals();
-  run->Log("timed phase");
-  run->BeginPhase();
-  std::thread writer([&] {
-    for (size_t i = 0;; ++i) {
-      const uint64_t t0 = NowNs();
-      if (t0 >= run->phase_end_ns) break;
-      Status st;
-      {
-        ScopedSpan span(run->TracerAt(t0), "ingest.append", 0);
-        st = db.Append(rest[i % rest.size()]);
-      }
-      run->Count(st, "append");
-      if (!st.ok()) break;  // ids would no longer follow the append order
-      append_ms.push_back(MsSince(t0));
-      appended.push_back(i % rest.size());
-      acked.fetch_add(1, std::memory_order_release);
-      std::this_thread::sleep_for(kWriterPause);
-    }
-  });
-  for (uint32_t i = 0;; ++i) {
-    const uint64_t t0 = NowNs();
-    if (t0 >= run->phase_end_ns) break;
-    const uint64_t req = run->next_request++;
-    IngestSample is;
-    is.s.traced = run->Traced(t0);
-    is.s.key = i % queries.size();
-    is.n_lo = base + acked.load(std::memory_order_acquire);
-    Status st;
-    {
-      ScopedSpan span(run->TracerAt(t0), "request", req);
-      std::vector<Answer> answers;
-      st = ServeQuery(run, service.get(), &queries[is.s.key], t0, req, &answers);
-      is.s.answers.push_back(std::move(answers));
-    }
-    is.s.ms = MsSince(t0);
-    // An append in flight may already be visible.
-    is.n_hi = base + acked.load(std::memory_order_acquire) + 1;
-    run->Count(st, "query");
-    is.s.ok = st.ok();
-    samples.push_back(std::move(is));
-  }
-  writer.join();
-  run->EndPhase();
-  run->cache_after = db.CacheTotals();
-  for (double ms : append_ms) run->layers.Add("ingest.append_ms", ms);
-  if (!appended.empty()) {
-    run->layers.Add("wal.bytes_per_append",
-                    static_cast<double>(TreeBytes(run->opts.work_dir, "wal.log") - wal_before) /
-                        static_cast<double>(appended.size()));
-  }
-  {
-    const uint64_t t = NowNs();
-    Status st;
-    {
-      ScopedSpan span(run->opts.trace ? &run->tracer : nullptr, "ingest.checkpoint", 0);
-      st = db.Checkpoint();
-    }
-    run->Count(st, "checkpoint");
-    run->layers.Add("ingest.checkpoint_s", SecondsSince(t));
-  }
-
-  // The oracle covers every document: the loaded base and each append.
-  std::vector<size_t> src = Iota(base);
-  for (size_t r : appended) src.push_back(base + r);
-  const size_t total = src.size();
-  Oracle oracle(OracleDocs(all, src), BenchLoad(),
-                [&](DocId d) { return db.StaccatoBlob(d); });
-  CheckChunking(run, &oracle);
-  std::vector<Answer> verified;
-  double rp = 0.0;
-  for (size_t k = 0; k < queries.size(); ++k) {
-    const std::string& p = plan_of[k].first;
-    const std::string what = StringPrintf("after checkpoint: '%s' (%s)", p.c_str(),
-                                          IndexModeName(plan_of[k].second));
-    Result<std::vector<Answer>> got = queries[k].Execute();
-    run->Count(got.status(), "verify query");
-    std::vector<Answer> want;
-    if (got.ok() && Verify(run, &oracle, what, *got, Approach::kStaccato, p, 0,
-                           kNumAns, total, &want) &&
-        verified.size() < 2) {
-      verified = want;
-    }
-    rp += RPrecisionOf(run, &oracle, what, Approach::kStaccato, p, 0, total,
-                       [&](size_t r) {
-                         queries[k].set_num_ans(r);
-                         Result<std::vector<Answer>> res = queries[k].Execute();
-                         queries[k].set_num_ans(kNumAns);
-                         return res;
-                       });
-  }
-  SelfTestChecker(run, verified, total);
-  // Each timed-phase answer list must be the reference top-k over the
-  // documents [0, n) for some n the query could have seen.
-  std::map<std::pair<uint32_t, size_t>, std::vector<Answer>> expected;
-  size_t mismatches = 0;
-  for (const IngestSample& is : samples) {
-    if (!is.s.ok) continue;
-    bool match = false;
-    std::string why;
-    for (size_t nd = is.n_lo; nd <= std::min(is.n_hi, total) && !match; ++nd) {
-      auto it = expected.find({is.s.key, nd});
-      if (it == expected.end()) {
-        Result<std::vector<Answer>> want = oracle.Expected(
-            Approach::kStaccato, plan_of[is.s.key].first, 0, kNumAns, nd);
-        if (!want.ok()) break;
-        it = expected.emplace(std::make_pair(is.s.key, nd), std::move(*want)).first;
-      }
-      why = CheckAnswers(is.s.answers[0], it->second, kNumAns, nd);
-      match = why.empty();
-    }
-    if (!match && mismatches++ == 0) {
-      run->Fail("timed-phase answers of '" + plan_of[is.s.key].first +
-                "' match no visible prefix: " + why);
-    }
-  }
-
-  Outcome o;
-  o.tail_q = 0.95;
-  for (IngestSample& is : samples) o.samples.push_back(std::move(is.s));
-  o.appends_per_s = static_cast<double>(appended.size()) / run->phase_seconds;
-  o.r_precision = rp / static_cast<double>(queries.size());
-  o.bytes_per_text_byte = static_cast<double>(TreeBytes(run->opts.work_dir)) /
-                          static_cast<double>(TextBytes(all, src));
-  if (run->opts.trace) {
-    LayerProbes(run, &db, all, patterns, base);
-    std::vector<PreparedQuery*> batch;
-    for (PreparedQuery& pq : queries) batch.push_back(&pq);
-    BatchProbe(run, session.get(), batch, [&](size_t k, const std::vector<Answer>& got) {
-      Verify(run, &oracle, "batch probe", got, Approach::kStaccato, plan_of[k].first, 0,
-             kNumAns, total);
-    });
-  }
+  AppendBurst(run, &db, run->opts.work_dir, burst);
+  std::vector<std::pair<Approach, std::string>> query_of;
+  for (const std::string& p : patterns) query_of.push_back({Approach::kStaccato, p});
+  VerifyAfterIngest(run, &db, all, n + kBurstDocs, query_of,
+                    [&] { return session->ExecuteBatch(batch); });
   Report(run, o);
   return Status::OK();
 }
@@ -1401,18 +1036,16 @@ Status IngestMixed(Run* run) {
 struct WorkloadDef {
   const char* name;
   Status (*fn)(Run*);
-  /// STACCATO_THREADS: pool workers beside the clients and the writer.
-  /// Each workload keeps three threads busy and leaves one of the four
-  /// hardware threads to the rest of the machine: with all four busy, the
-  /// same run repeated swings by a quarter; with three, by a few percent.
+  /// STACCATO_THREADS: pool workers beside the client. With every
+  /// hardware thread busy the same run repeated swings by a quarter, and
+  /// the 4-shard scatter swung by as much with two workers; one worker
+  /// holds it within a tenth.
   const char* threads;
   const char* cache_mb;  ///< STACCATO_CACHE_MB
 };
 
 const WorkloadDef kWorkloads[] = {
-    {"scan-sharded", ScanSharded, "2", "64"},
-    {"probe-adhoc", ProbeAdhoc, "1", "1"},
-    {"ingest-mixed", IngestMixed, "1", "64"},
+    {"scan-sharded", ScanSharded, "1", "64"},
     {"batch-scan", BatchScan, "2", "64"},
 };
 

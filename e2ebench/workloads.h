@@ -1,4 +1,4 @@
-// The four workloads of the end-to-end benchmark. See README.md for what
+// The workloads of the end-to-end benchmark. See README.md for what
 // each one stresses and how its inputs are made up.
 #pragma once
 
